@@ -3,14 +3,17 @@
 //! The in-memory [`crate::CheckpointStore`] models a host inside the
 //! simulator; this store actually writes the §3 checkpoint files to a
 //! directory — what a deployment would do — using the corruption-checked
-//! wire format. Loads that fail validation report [`Error::Corrupt`] so
-//! callers can fall back to a full migration instead of restoring
-//! garbage.
+//! wire format (one [`vecycle_hash::sealed`] buffer per file). Loads
+//! that fail validation report [`Error::Corrupt`] so callers can fall
+//! back to a full migration instead of restoring garbage. Saves go
+//! through [`atomic_replace`] at [`SyncLevel::Durable`]: a checkpoint is
+//! only worth recycling if it survives the days until the VM returns.
 
 use std::path::{Path, PathBuf};
 
 use vecycle_types::{Error, VmId};
 
+use crate::durable::{atomic_replace, SyncLevel};
 use crate::{wire, Checkpoint};
 
 /// What a [`DiskStore::scrub`] pass found: the checkpoints that passed
@@ -35,9 +38,9 @@ impl ScrubOutcome {
 
 /// A directory of checkpoint files, one per VM.
 ///
-/// Layout: `<root>/vm-<id>.ckpt`, atomically replaced on save (write to
-/// a temp file, then rename) so a crash mid-save never leaves a torn
-/// checkpoint where a good one stood.
+/// Layout: `<root>/vm-<id>.ckpt`, atomically replaced on save (staged
+/// in `.vm-<id>.tmp`, then renamed) so a crash mid-save never leaves a
+/// torn checkpoint where a good one stood.
 ///
 /// # Examples
 ///
@@ -87,37 +90,18 @@ impl DiskStore {
     ///
     /// Crash-durability invariant: at every instant there is either the
     /// old complete checkpoint or the new complete checkpoint at the
-    /// final path, never a torn one and never neither. This needs all
-    /// three steps below — `fsync(tmp)` so the rename cannot promote a
-    /// file whose data blocks are still in the page cache, an atomic
-    /// `rename(2)`, and `fsync(parent dir)` so the rename itself is on
-    /// stable storage. Skipping the directory fsync would let a host
-    /// crash roll the directory entry back to the temp name, losing the
-    /// new checkpoint *and* (because the temp write already replaced
-    /// nothing) leaving a stray `.tmp` — but never corrupting the old one.
+    /// final path, never a torn one and never neither — across power
+    /// loss too, which is why this is the [`SyncLevel::Durable`] path
+    /// of [`atomic_replace`] (fsync the file, rename, fsync the
+    /// directory).
     ///
     /// # Errors
     ///
     /// Propagates filesystem errors; a failed save leaves any previous
     /// checkpoint intact.
     pub fn save(&self, checkpoint: &Checkpoint) -> vecycle_types::Result<()> {
-        let tmp = self
-            .root
-            .join(format!(".vm-{}.tmp", checkpoint.vm().as_u32()));
-        {
-            let file = std::fs::File::create(&tmp)?;
-            let mut writer = std::io::BufWriter::new(file);
-            checkpoint.write_to(&mut writer)?;
-            use std::io::Write;
-            writer.flush()?;
-            writer.get_ref().sync_all()?;
-        }
-        std::fs::rename(&tmp, self.path_for(checkpoint.vm()))?;
-        // Persist the rename: fsync the directory entry. Directories can
-        // be opened and fsynced on unix; elsewhere the rename alone is
-        // the best the platform offers.
-        #[cfg(unix)]
-        std::fs::File::open(&self.root)?.sync_all()?;
+        let path = self.path_for(checkpoint.vm());
+        atomic_replace(&path, SyncLevel::Durable, &checkpoint.encode())?;
         Ok(())
     }
 

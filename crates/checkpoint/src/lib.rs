@@ -12,6 +12,8 @@
 //!   digest-only (scalable) or with full page bytes (byte-exact restore);
 //! * a versioned on-disk format with corruption detection
 //!   ([`Checkpoint::write_to`] / [`Checkpoint::read_from`]);
+//! * [`durable::atomic_replace`] — the one tmp→rename file writer, with
+//!   an explicit [`durable::SyncLevel`];
 //! * [`ChecksumIndex`] — the sorted checksum → offset index of §3.3
 //!   ("we currently keep the checksums and their offsets in a sorted
 //!   list, such that we can use binary search"), plus a hash-map variant
@@ -25,6 +27,7 @@
 mod checkpoint;
 mod dedup;
 mod disk_store;
+pub mod durable;
 mod index;
 mod lifecycle;
 mod obs;

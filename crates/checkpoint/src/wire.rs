@@ -1,8 +1,9 @@
-//! On-disk serialization of checkpoints, with corruption detection.
+//! On-disk serialization of checkpoints: one [`sealed`] buffer per
+//! file, so this module only lays out and validates fields.
 
 use bytes::{Buf, BufMut};
 
-use vecycle_hash::{Fnv1a64, Hasher};
+use vecycle_hash::sealed;
 use vecycle_types::{Error, PageDigest, SimTime, VmId, PAGE_SIZE};
 
 use crate::{Checkpoint, CheckpointData};
@@ -10,8 +11,8 @@ use crate::{Checkpoint, CheckpointData};
 const MAGIC: &[u8; 8] = b"VECYCHK1";
 /// Fixed framing bytes around the payload: 32-byte header (magic,
 /// version, kind, reserved, vm, timestamp, page count) + 8-byte FNV
-/// trailer. Used to estimate page counts of corrupt files from their
-/// length alone.
+/// trailer — the shortest valid file. Also used to estimate page
+/// counts of corrupt files from their length alone.
 pub(crate) const HEADER_AND_TRAILER: u64 = 40;
 const VERSION: u16 = 1;
 const KIND_DIGESTS: u8 = 0;
@@ -21,14 +22,19 @@ impl Checkpoint {
     /// Serializes the checkpoint to `w`.
     ///
     /// Layout: magic, version, kind, VM id, timestamp, page count,
-    /// payload, then an FNV-1a 64 trailer over everything before it.
-    /// The trailer catches truncation and bit rot on load — cheap
-    /// insurance for data that may sit on a host's disk for days.
+    /// payload, then the sealed trailer — cheap insurance against
+    /// truncation and bit rot for data that may sit on a disk for days.
     ///
     /// # Errors
     ///
     /// Propagates I/O errors from `w`.
     pub fn write_to<W: std::io::Write>(&self, mut w: W) -> vecycle_types::Result<()> {
+        w.write_all(&self.encode())?;
+        Ok(())
+    }
+
+    /// The sealed file image [`Checkpoint::write_to`] writes.
+    pub(crate) fn encode(&self) -> Vec<u8> {
         let mut buf = Vec::with_capacity(64 + self.storage_size().as_u64() as usize);
         buf.put_slice(MAGIC);
         buf.put_u16(VERSION);
@@ -48,12 +54,8 @@ impl Checkpoint {
             }
             CheckpointData::Pages(bytes) => buf.put_slice(bytes),
         }
-        let mut fnv = Fnv1a64::new();
-        fnv.update(&buf);
-        let trailer = fnv.finalize();
-        w.write_all(&buf)?;
-        w.write_all(&trailer)?;
-        Ok(())
+        sealed::seal(&mut buf);
+        buf
     }
 
     /// Deserializes a checkpoint previously written by
@@ -66,21 +68,10 @@ impl Checkpoint {
     pub fn read_from<R: std::io::Read>(mut r: R) -> vecycle_types::Result<Checkpoint> {
         let mut raw = Vec::new();
         r.read_to_end(&mut raw)?;
-        if raw.len() < 8 + 2 + 1 + 1 + 4 + 8 + 8 + 8 {
-            return Err(Error::Corrupt {
-                detail: format!("checkpoint file too short: {} bytes", raw.len()),
-            });
-        }
-        let (body, trailer) = raw.split_at(raw.len() - 8);
-        let mut fnv = Fnv1a64::new();
-        fnv.update(body);
-        if fnv.finalize() != <[u8; 8]>::try_from(trailer).expect("8 bytes") {
-            return Err(Error::Corrupt {
-                detail: "checkpoint trailer checksum mismatch".into(),
-            });
-        }
-
-        let mut buf = body;
+        let mut buf =
+            sealed::unseal(&raw, HEADER_AND_TRAILER as usize).map_err(|e| Error::Corrupt {
+                detail: format!("checkpoint {e}"),
+            })?;
         let mut magic = [0u8; 8];
         buf.copy_to_slice(&mut magic);
         if &magic != MAGIC {
@@ -225,23 +216,9 @@ mod tests {
         cp.write_to(&mut file).unwrap();
         // Bump version and re-fix the trailer so only the version differs.
         file[9] = 2;
-        let body_len = file.len() - 8;
-        let mut fnv = Fnv1a64::new();
-        fnv.update(&file[..body_len]);
-        let t = fnv.finalize();
-        file[body_len..].copy_from_slice(&t);
+        sealed::reseal(&mut file);
         let err = Checkpoint::read_from(&file[..]).unwrap_err();
         assert!(err.to_string().contains("version"));
-    }
-
-    /// Recomputes the FNV trailer over `file` so a forged header passes
-    /// the outer integrity check and reaches the field parser.
-    fn refix_trailer(file: &mut [u8]) {
-        let body_len = file.len() - 8;
-        let mut fnv = Fnv1a64::new();
-        fnv.update(&file[..body_len]);
-        let t = fnv.finalize();
-        file[body_len..].copy_from_slice(&t);
     }
 
     #[test]
@@ -262,7 +239,7 @@ mod tests {
         ] {
             let mut f = file.clone();
             f[24..32].copy_from_slice(&forged.to_be_bytes());
-            refix_trailer(&mut f);
+            sealed::reseal(&mut f);
             let err = Checkpoint::read_from(&f[..]).unwrap_err();
             assert!(
                 matches!(err, Error::Corrupt { .. }),
@@ -277,7 +254,7 @@ mod tests {
         let mut file = Vec::new();
         cp.write_to(&mut file).unwrap();
         file[10] = 7; // unknown kind
-        refix_trailer(&mut file);
+        sealed::reseal(&mut file);
         let err = Checkpoint::read_from(&file[..]).unwrap_err();
         assert!(err.to_string().contains("kind"), "{err}");
     }

@@ -8,14 +8,16 @@
 //! 64 hash. It never runs the engine, so agreement with the source is
 //! evidence about the *protocol*, not a shared code path.
 //!
-//! Crash durability: every [`crate::source::STREAM_CHUNK`] applied
-//! messages (and at round boundaries) the state is checkpointed — into
-//! an in-memory partials map keyed by `(job, spec fingerprint)`, and,
-//! when the daemon runs with a journal directory, into a
-//! `partial-*.bin` file. A later session for the same job announces
-//! that landed prefix in the RESUME_STATE handshake; if the source
-//! rejects it (hash mismatch, corrupt file) the state resets to the
-//! fresh base and the transfer self-heals into a full one.
+//! Crash durability: when the daemon runs with a journal directory,
+//! every [`crate::source::STREAM_CHUNK`] applied messages (and at round
+//! boundaries) the state is written to a `partial-*.bin` file — what
+//! survives this process dying. When the *peer* dies mid-stream, the
+//! final state is also kept in an in-memory partials map keyed by
+//! `(job, spec fingerprint)`; only that exit fills the map, since only
+//! a later session reads it. A later session for the same job
+//! announces the landed prefix in the RESUME_STATE handshake; if the
+//! source rejects it (hash mismatch, corrupt file) the state resets to
+//! the fresh base and the transfer self-heals into a full one.
 
 use std::io::Write;
 
@@ -187,9 +189,10 @@ fn session(
         Ok(()) => {}
         Err(e @ DaemonError::Io(_)) => {
             // Peer death mid-stream: the landed prefix is the whole
-            // point — persist it one last time and keep it for the
-            // resume attempt.
-            persist_partial(state, job_id, fingerprint, &session_state);
+            // point — persist it one last time and keep it in memory
+            // for the resume attempt.
+            save_partial_file(state, job_id, fingerprint, &session_state);
+            state.partial_put(job_id, fingerprint, session_state);
             return Err(e);
         }
         Err(e) => {
@@ -227,8 +230,8 @@ fn session(
 }
 
 /// Applies the data-plane stream through the shared state machine
-/// until the stop-and-copy delimiter, checkpointing the partial state
-/// at chunk and round boundaries.
+/// until the stop-and-copy delimiter, saving the partial file at chunk
+/// and round boundaries.
 fn receive_stream(
     state: &DaemonState,
     s: &mut CountingStream<Stream>,
@@ -250,17 +253,15 @@ fn receive_stream(
         if since_checkpoint >= crate::source::STREAM_CHUNK
             || matches!(msg, WireMsg::RoundEnd { .. } | WireMsg::StopEnd)
         {
-            persist_partial(state, job_id, fingerprint, session_state);
+            save_partial_file(state, job_id, fingerprint, session_state);
             since_checkpoint = 0;
         }
     }
     Ok(())
 }
 
-/// Checkpoints a partial state into the in-memory map and (when the
-/// daemon is journal-backed) the partial file.
-fn persist_partial(state: &DaemonState, job_id: u64, fingerprint: u64, st: &SessionState) {
-    state.partial_put(job_id, fingerprint, st.clone());
+/// Writes a partial state to its file when the daemon is journal-backed.
+fn save_partial_file(state: &DaemonState, job_id: u64, fingerprint: u64, st: &SessionState) {
     if let Some(dir) = state.config.journal_dir.as_deref() {
         match session_state::save_partial(dir, job_id, fingerprint, st) {
             Ok(()) => state

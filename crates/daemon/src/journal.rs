@@ -1,26 +1,29 @@
 //! The write-ahead job journal: every job transition survives a crash.
 //!
 //! One file, `vecycled.wal`, under the daemon's `--journal-dir`. Each
-//! record is length-prefixed and checksummed —
+//! record is one sealed frame of the shared [`sealed`] codec —
 //! `[u32 BE payload len][JSON payload][8-byte FNV-1a 64 of payload]` —
-//! and appended with an fsync, so a record either replays intact or is
+//! appended with an fdatasync, so a record either replays intact or is
 //! detected as a torn tail and discarded. Replay tolerates exactly one
 //! torn suffix (the crash mid-append case): decoding stops at the
-//! first short or checksum-failing record, the valid prefix is kept,
-//! and the file is truncated back to it.
+//! first short, over-cap or checksum-failing record, the valid prefix
+//! is kept, and the file is truncated back to it.
 //!
-//! [`Journal::compact`] rewrites the whole file through the
-//! write-tmp→fsync→rename→fsync-dir discipline (the same one
-//! `DiskStore::save` uses for checkpoints), which boot-time recovery
-//! uses to snapshot the replayed state and drop dead history.
+//! Creating the file and [`Journal::compact`] both go through
+//! [`atomic_replace`] at [`SyncLevel::Durable`] (the helper
+//! `DiskStore::save` uses for checkpoints): the directory entry is
+//! fsynced too, so an acknowledged record can never vanish with the
+//! file's name on power loss. Boot-time recovery compacts to snapshot
+//! the replayed state and drop dead history.
 
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
 use serde::{Deserialize, Serialize};
-use vecycle_hash::{Fnv1a64, Hasher};
+use vecycle_checkpoint::durable::{atomic_replace, SyncLevel};
+use vecycle_hash::sealed;
 
 use crate::sync;
 
@@ -91,26 +94,20 @@ pub struct Replay {
     pub torn_bytes: u64,
 }
 
-fn checksum(payload: &[u8]) -> [u8; 8] {
-    let mut fnv = Fnv1a64::new();
-    fnv.update(payload);
-    fnv.finalize()
-}
-
-/// Encodes one record into its on-disk frame.
-fn encode_record(record: &WalRecord) -> Vec<u8> {
-    let payload = serde_json::to_string(record).expect("wal record serializes");
-    let payload = payload.as_bytes();
-    let mut buf = Vec::with_capacity(4 + payload.len() + 8);
-    buf.extend_from_slice(&(payload.len() as u32).to_be_bytes());
-    buf.extend_from_slice(payload);
-    buf.extend_from_slice(&checksum(payload));
-    buf
+/// Encodes records, as given, into their on-disk frames — the inverse
+/// of [`decode_records`].
+pub fn encode_records(records: &[WalRecord]) -> Vec<u8> {
+    let mut out = Vec::new();
+    for record in records {
+        let payload = serde_json::to_string(record).expect("wal record serializes");
+        sealed::encode_frame(payload.as_bytes(), &mut out);
+    }
+    out
 }
 
 /// Largest record payload replay will accept. A WAL payload is one
 /// JSON job record; 1 MiB is far beyond any legitimate spec.
-const MAX_RECORD: u32 = 1 << 20;
+pub const MAX_RECORD: u32 = 1 << 20;
 
 /// Decodes records from raw file bytes, stopping at the first torn or
 /// corrupt frame. Returns the records and the byte offset of the valid
@@ -118,38 +115,21 @@ const MAX_RECORD: u32 = 1 << 20;
 pub fn decode_records(bytes: &[u8]) -> (Vec<WalRecord>, u64) {
     let mut records = Vec::new();
     let mut off = 0usize;
-    loop {
-        let rest = &bytes[off..];
-        if rest.len() < 4 {
-            break;
-        }
-        let len = u32::from_be_bytes(rest[0..4].try_into().expect("4 bytes"));
-        if len > MAX_RECORD {
-            break;
-        }
-        let len = len as usize;
-        let Some(frame) = rest.get(4..4 + len + 8) else {
-            break;
-        };
-        let (payload, trailer) = frame.split_at(len);
-        if trailer != checksum(payload) {
-            break;
-        }
-        let Ok(text) = std::str::from_utf8(payload) else {
-            break;
-        };
-        let Ok(record) = serde_json::from_str::<WalRecord>(text) else {
+    while let Ok((payload, used)) = sealed::decode_frame(&bytes[off..], MAX_RECORD) {
+        let Some(record) = std::str::from_utf8(payload)
+            .ok()
+            .and_then(|text| serde_json::from_str::<WalRecord>(text).ok())
+        else {
             break;
         };
         records.push(record);
-        off += 4 + len + 8;
+        off += used;
     }
     (records, off as u64)
 }
 
 /// The append handle to one daemon's WAL.
 pub struct Journal {
-    dir: PathBuf,
     path: PathBuf,
     inner: Mutex<JournalInner>,
 }
@@ -162,32 +142,30 @@ struct JournalInner {
 impl Journal {
     /// Opens (or creates) the WAL under `dir`, replaying what is
     /// already there. A torn tail is truncated away so the next append
-    /// lands on a clean boundary.
+    /// lands on a clean boundary. A new WAL is created durably (file
+    /// and directory entry fsynced) before the first append can be
+    /// acknowledged.
     ///
     /// # Errors
     ///
-    /// Propagates directory-creation, open, read and truncate errors.
+    /// Propagates directory-creation, create, sync, open, read and
+    /// truncate errors.
     pub fn open(dir: &Path) -> std::io::Result<(Journal, Replay)> {
         std::fs::create_dir_all(dir)?;
         let path = dir.join(WAL_FILE);
-        let mut file = OpenOptions::new()
-            .read(true)
-            .create(true)
-            .append(true)
-            .open(&path)?;
-        let mut bytes = Vec::new();
-        file.seek(SeekFrom::Start(0))?;
-        file.read_to_end(&mut bytes)?;
+        if !path.exists() {
+            atomic_replace(&path, SyncLevel::Durable, &[])?;
+        }
+        let bytes = std::fs::read(&path)?;
         let (records, valid) = decode_records(&bytes);
         let torn_bytes = bytes.len() as u64 - valid;
+        let file = OpenOptions::new().append(true).open(&path)?;
         if torn_bytes > 0 {
             file.set_len(valid)?;
             file.sync_all()?;
         }
-        file.seek(SeekFrom::End(0))?;
         let next_seq = records.last().map(|r| r.seq + 1).unwrap_or(1);
         let journal = Journal {
-            dir: dir.to_path_buf(),
             path,
             inner: Mutex::new(JournalInner { file, next_seq }),
         };
@@ -216,43 +194,33 @@ impl Journal {
         let mut stamped = record.clone();
         stamped.seq = inner.next_seq;
         inner.next_seq += 1;
-        let frame = encode_record(&stamped);
-        inner.file.write_all(&frame)?;
+        inner
+            .file
+            .write_all(&encode_records(std::slice::from_ref(&stamped)))?;
         inner.file.sync_data()?;
         Ok(stamped.seq)
     }
 
-    /// Rewrites the WAL to exactly `records` (re-sequenced from 1) via
-    /// write-tmp→fsync→rename→fsync-dir — the `DiskStore::save`
-    /// discipline. Used by boot recovery to snapshot replayed state.
+    /// Rewrites the WAL to exactly `records` (re-sequenced from 1)
+    /// through [`atomic_replace`] at [`SyncLevel::Durable`] — the
+    /// `DiskStore::save` discipline. Used by boot recovery to snapshot
+    /// replayed state.
     ///
     /// # Errors
     ///
-    /// Propagates write, sync and rename errors.
+    /// Propagates write, sync (file and directory) and rename errors.
     pub fn compact(&self, records: &[WalRecord]) -> std::io::Result<()> {
         let mut inner = sync::lock(&self.inner);
-        let tmp = self.dir.join(format!("{WAL_FILE}.tmp"));
-        let mut buf = Vec::new();
-        for (i, record) in records.iter().enumerate() {
-            let mut stamped = record.clone();
-            stamped.seq = i as u64 + 1;
-            buf.extend_from_slice(&encode_record(&stamped));
-        }
-        {
-            let mut f = File::create(&tmp)?;
-            f.write_all(&buf)?;
-            f.sync_all()?;
-        }
-        std::fs::rename(&tmp, &self.path)?;
-        if let Ok(d) = File::open(&self.dir) {
-            let _ = d.sync_all();
-        }
-        let mut file = OpenOptions::new()
-            .read(true)
-            .append(true)
-            .open(&self.path)?;
-        file.seek(SeekFrom::End(0))?;
-        inner.file = file;
+        let resequenced: Vec<WalRecord> = (1..)
+            .zip(records)
+            .map(|(seq, r)| WalRecord { seq, ..r.clone() })
+            .collect();
+        atomic_replace(
+            &self.path,
+            SyncLevel::Durable,
+            &encode_records(&resequenced),
+        )?;
+        inner.file = OpenOptions::new().append(true).open(&self.path)?;
         inner.next_seq = records.len() as u64 + 1;
         Ok(())
     }

@@ -135,9 +135,9 @@ pub(crate) struct DaemonState {
     pub log: Mutex<Vec<String>>,
     /// The write-ahead job journal, when `journal_dir` is configured.
     pub wal: Option<Journal>,
-    /// Destination-side partial states by `(job, spec fingerprint)` —
-    /// what survives a *peer* death (the file under `journal_dir` is
-    /// what survives our own).
+    /// Destination-side partial states by `(job, spec fingerprint)`,
+    /// stored when a peer dies mid-stream — what survives a *peer*
+    /// death (the file under `journal_dir` is what survives our own).
     pub partials: Mutex<HashMap<(u64, u64), SessionState>>,
     /// Deterministic crash injection, armed from `VECYCLE_KILL_AT`
     /// (inert in normal operation).

@@ -10,18 +10,19 @@
 //! can skip them.
 //!
 //! Between boundary messages the destination persists the state as a
-//! `partial-job<id>-<fingerprint>.bin` file (write-tmp→rename, FNV-1a
-//! trailer), which is what survives a destination crash: the paper's
-//! checkpoint-as-recovery-unit idea applied to an in-flight transfer.
-//! The landed pages double as a [`PartialCheckpoint`], the same
-//! resume substrate PR 2's retry machinery uses.
+//! `partial-job<id>-<fingerprint>.bin` file (one [`sealed`] buffer,
+//! written unsynced — see [`save_partial`]), which is what survives a
+//! destination crash: the paper's checkpoint-as-recovery-unit idea
+//! applied to an in-flight transfer. The landed pages double as a
+//! [`PartialCheckpoint`], the same resume substrate the engine's retry
+//! machinery uses.
 
 use std::collections::HashMap;
-use std::io::Write;
 use std::path::{Path, PathBuf};
 
+use vecycle_checkpoint::durable::{atomic_replace, SyncLevel};
 use vecycle_checkpoint::{ChecksumIndex, PageLookup, PartialCheckpoint};
-use vecycle_hash::{Fnv1a64, Hasher};
+use vecycle_hash::{sealed, Fnv1a64, Hasher};
 use vecycle_mem::DigestMemory;
 use vecycle_net::WireMsg;
 use vecycle_sim::ScenarioSpec;
@@ -36,9 +37,7 @@ pub const PARTIAL_MAGIC: &[u8; 8] = b"VECYPAR1";
 /// form) — partial files are keyed by `(job, fingerprint)` so a resume
 /// for a different spec can never pick up the wrong state.
 pub fn spec_fingerprint(spec: &ScenarioSpec) -> u64 {
-    let mut fnv = Fnv1a64::new();
-    fnv.update(spec.to_kv().as_bytes());
-    u64::from_be_bytes(fnv.finalize())
+    u64::from_be_bytes(Fnv1a64::digest(spec.to_kv().as_bytes()))
 }
 
 /// The deterministic apply-state of one migration stream.
@@ -198,33 +197,18 @@ impl SessionState {
     }
 
     /// FNV-1a 64 over everything that determines future behavior: the
-    /// counters, the memory image, the landed map and the (sorted)
-    /// dedup anchors. Two states with equal hashes apply any suffix
-    /// identically.
+    /// partial-file fields after the identity header (counters, memory
+    /// image and landed map, sorted dedup anchors), so the file format
+    /// is the one field list. Two states with equal hashes apply any
+    /// suffix identically.
     pub fn state_hash(&self) -> [u8; 8] {
-        let mut fnv = Fnv1a64::new();
-        fnv.update(&self.applied.to_be_bytes());
-        fnv.update(&self.expected_round.to_be_bytes());
-        fnv.update(&[u8::from(self.finished)]);
-        fnv.update(&self.pages.to_be_bytes());
-        for (digest, landed) in self.mem.iter().zip(&self.landed) {
-            fnv.update(digest.as_bytes());
-            fnv.update(&[u8::from(*landed)]);
-        }
-        let mut anchors: Vec<(u64, PageDigest)> =
-            self.anchors.iter().map(|(k, v)| (*k, *v)).collect();
-        anchors.sort_unstable_by_key(|(k, _)| *k);
-        fnv.update(&(anchors.len() as u64).to_be_bytes());
-        for (idx, digest) in anchors {
-            fnv.update(&idx.to_be_bytes());
-            fnv.update(digest.as_bytes());
-        }
-        fnv.finalize()
+        let file = self.encode(0, 0);
+        sealed::checksum(&file[24..file.len() - sealed::TRAILER_LEN])
     }
 
     /// Serializes the state (with its job/spec identity) into the
-    /// partial-file format: magic, header, memory, landed map, sorted
-    /// anchors, FNV-1a 64 trailer over everything before it.
+    /// partial-file format: magic, job, fingerprint, counters, memory
+    /// image with landed map, sorted anchors, then the sealed trailer.
     pub fn encode(&self, job: u64, fingerprint: u64) -> Vec<u8> {
         let mut buf = Vec::with_capacity(64 + self.mem.len() * 17 + self.anchors.len() * 24);
         buf.extend_from_slice(PARTIAL_MAGIC);
@@ -246,10 +230,7 @@ impl SessionState {
             buf.extend_from_slice(&idx.to_be_bytes());
             buf.extend_from_slice(digest.as_bytes());
         }
-        let mut fnv = Fnv1a64::new();
-        fnv.update(&buf);
-        let trailer = fnv.finalize();
-        buf.extend_from_slice(&trailer);
+        sealed::seal(&mut buf);
         buf
     }
 
@@ -263,15 +244,8 @@ impl SessionState {
     /// [`DaemonError::Corrupt`] on any structural or checksum failure.
     pub fn decode(bytes: &[u8]) -> Result<(u64, u64, SessionState), DaemonError> {
         let fail = |what: &str| DaemonError::Corrupt(format!("partial state: {what}"));
-        if bytes.len() < 8 + 8 + 8 + 8 + 8 + 1 + 8 + 8 + 8 {
-            return Err(fail("file too short"));
-        }
-        let (body, trailer) = bytes.split_at(bytes.len() - 8);
-        let mut fnv = Fnv1a64::new();
-        fnv.update(body);
-        if fnv.finalize() != trailer {
-            return Err(fail("trailer checksum mismatch"));
-        }
+        let min_len = 8 + 8 + 8 + 8 + 8 + 1 + 8 + 8 + sealed::TRAILER_LEN;
+        let body = sealed::unseal(bytes, min_len).map_err(|e| fail(&e.to_string()))?;
         if &body[0..8] != PARTIAL_MAGIC {
             return Err(fail("bad magic"));
         }
@@ -294,7 +268,7 @@ impl SessionState {
         let anchors_count_off = mem_off
             .checked_add(mem_len)
             .ok_or_else(|| fail("memory section overflows"))?;
-        if body.len() < anchors_count_off + 8 {
+        if body.len() < anchors_count_off.saturating_add(8) {
             return Err(fail("memory section truncated"));
         }
         let mut mem = Vec::with_capacity(pages as usize);
@@ -314,7 +288,7 @@ impl SessionState {
         let anchors_len = (anchor_count as usize)
             .checked_mul(24)
             .ok_or_else(|| fail("anchor count overflows"))?;
-        if body.len() != anchors_off + anchors_len {
+        if anchors_off.checked_add(anchors_len) != Some(body.len()) {
             return Err(fail("anchor section length mismatch"));
         }
         let mut anchors = HashMap::with_capacity(anchor_count as usize);
@@ -348,11 +322,12 @@ pub fn partial_path(dir: &Path, job: u64, fingerprint: u64) -> PathBuf {
     dir.join(format!("partial-job{job}-{fingerprint:016x}.bin"))
 }
 
-/// Persists a partial state via write-tmp→rename. No fsync: a torn
-/// file is detected by the trailer on load and simply falls back to a
-/// fresh transfer, so durability-under-power-loss is not worth a sync
-/// per boundary here (the WAL, which must not lose records, does
-/// sync).
+/// Persists a partial state through [`atomic_replace`] at
+/// [`SyncLevel::Unsynced`], on purpose: a torn or missing file after
+/// power loss fails its trailer on load and costs only a fresh
+/// transfer, while a sync per boundary (the whole state, every 64
+/// messages) would dominate a journaled job. The WAL, which must not
+/// lose records, does sync.
 ///
 /// # Errors
 ///
@@ -365,12 +340,7 @@ pub fn save_partial(
 ) -> std::io::Result<()> {
     std::fs::create_dir_all(dir)?;
     let path = partial_path(dir, job, fingerprint);
-    let tmp = path.with_extension("tmp");
-    {
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(&state.encode(job, fingerprint))?;
-    }
-    std::fs::rename(&tmp, &path)
+    atomic_replace(&path, SyncLevel::Unsynced, &state.encode(job, fingerprint))
 }
 
 /// Loads a partial state, if an intact one exists for this exact
@@ -421,6 +391,21 @@ mod tests {
         assert_eq!((job, f), (9, fp));
         assert_eq!(back, st);
         assert_eq!(back.state_hash(), st.state_hash());
+    }
+
+    #[test]
+    fn forged_anchor_count_is_rejected_without_overflow() {
+        let (spec, st) = state_with_traffic();
+        let bytes = st.encode(1, spec_fingerprint(&spec));
+        // The anchor count sits just before the anchors and the trailer.
+        let count_off = bytes.len() - sealed::TRAILER_LEN - st.anchors.len() * 24 - 8;
+        for forged in [u64::MAX, u64::MAX / 24, (usize::MAX / 24) as u64 - 1] {
+            let mut bad = bytes.clone();
+            bad[count_off..count_off + 8].copy_from_slice(&forged.to_be_bytes());
+            sealed::reseal(&mut bad);
+            let err = SessionState::decode(&bad).unwrap_err();
+            assert!(err.to_string().contains("anchor"), "count={forged}: {err}");
+        }
     }
 
     #[test]

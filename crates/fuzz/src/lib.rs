@@ -13,11 +13,12 @@
 //! The moving parts:
 //!
 //! * [`targets`] — one [`targets::Target`] per parser surface
-//!   (checkpoint wire format, trace wire format, chaos/fault/eviction/
-//!   size/link/duration grammars), each with seed inputs, a mutation
-//!   dictionary and an outcome classifier;
-//! * [`mutate`] — the seeded mutator and the trailer-fixing fixup that
-//!   lets mutants of checksummed formats reach the inner field parsers;
+//!   (checkpoint and trace wire formats, daemon WAL replay and
+//!   partial-state files, chaos/fault/eviction/size/link/duration
+//!   grammars), each with seed inputs, a mutation dictionary and an
+//!   outcome classifier; the sealed formats get trailer-fixing variants
+//!   (the codec's `reseal`) so mutants reach the inner field parsers;
+//! * [`mutate`] — the seeded mutator;
 //! * [`guard`] — the no-panic + bounded-allocation harness: a counting
 //!   global allocator that fails a target when parsing an N-byte input
 //!   requests far more than N bytes;

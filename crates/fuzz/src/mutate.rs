@@ -170,28 +170,10 @@ impl Mutator {
     }
 }
 
-/// Recomputes the FNV-1a 64 trailer over `buf[..len-8]` and patches it
-/// into the last 8 bytes — the trailer-fixing mutator. Without it,
-/// virtually every mutant dies at the outer integrity check and the
-/// inner field parsers (the actual attack surface once a forged file
-/// carries a valid trailer) never see hostile values.
-pub fn fix_trailer(buf: &mut [u8]) {
-    if buf.len() < 8 {
-        return;
-    }
-    let body_len = buf.len() - 8;
-    let mut fnv = Fnv1a64::new();
-    fnv.update(&buf[..body_len]);
-    let t = fnv.finalize();
-    buf[body_len..].copy_from_slice(&t);
-}
-
 /// FNV-1a 64 over a byte slice, as a plain u64 — used for corpus
 /// content addressing and the run's stream digest.
 pub fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h = Fnv1a64::new();
-    h.update(bytes);
-    u64::from_be_bytes(h.finalize())
+    u64::from_be_bytes(Fnv1a64::digest(bytes))
 }
 
 /// Extends a rolling FNV digest with a length-framed record, so the
@@ -236,19 +218,6 @@ mod tests {
         for _ in 0..200 {
             assert!(m.mutate(&base, &[], 128).len() <= 128);
         }
-    }
-
-    #[test]
-    fn fix_trailer_validates() {
-        let mut buf = vec![1u8, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12];
-        fix_trailer(&mut buf);
-        let mut h = Fnv1a64::new();
-        h.update(&buf[..4]);
-        assert_eq!(&buf[4..], &h.finalize());
-        // Too-short buffers are left alone rather than panicking.
-        let mut tiny = vec![1u8, 2, 3];
-        fix_trailer(&mut tiny);
-        assert_eq!(tiny, vec![1, 2, 3]);
     }
 
     #[test]

@@ -12,12 +12,16 @@
 
 use vecycle_checkpoint::{Checkpoint, CheckpointData, EvictionPolicy};
 use vecycle_cli::args::{parse_duration, parse_faults, parse_link, parse_size};
+use vecycle_daemon::journal::{self, rec, WalRecord};
+use vecycle_daemon::session_state::SessionState;
+use vecycle_daemon::{scenario, DaemonError};
+use vecycle_hash::sealed::{self, SealError};
 use vecycle_mem::ByteMemory;
+use vecycle_net::WireMsg;
 use vecycle_sim::chaos::ChaosConfig;
+use vecycle_sim::ScenarioSpec;
 use vecycle_trace::{Fingerprint, Trace};
 use vecycle_types::{Bytes, Error, PageCount, PageDigest, SimDuration, SimTime, VmId};
-
-use crate::mutate;
 
 /// One fuzzable parser surface.
 pub struct Target {
@@ -27,7 +31,7 @@ pub struct Target {
     pub seeds: fn() -> Vec<Vec<u8>>,
     /// Grammar tokens for dictionary splices.
     pub dict: &'static [&'static [u8]],
-    /// Post-mutation fixup (the trailer-fixing mutator).
+    /// Post-mutation fixup (the codec's trailer-fixing reseal).
     pub post: Option<fn(&mut [u8])>,
     /// Runs the parser, returning the outcome class.
     pub run: fn(&[u8]) -> &'static str,
@@ -53,7 +57,7 @@ pub fn all_targets() -> Vec<Target> {
             name: "ckpt_fix",
             seeds: checkpoint_seeds,
             dict: BINARY_DICT,
-            post: Some(mutate::fix_trailer),
+            post: Some(sealed::reseal),
             run: run_checkpoint,
             max_len: 8192,
         },
@@ -69,8 +73,24 @@ pub fn all_targets() -> Vec<Target> {
             name: "trace_fix",
             seeds: trace_seeds,
             dict: BINARY_DICT,
-            post: Some(mutate::fix_trailer),
+            post: Some(sealed::reseal),
             run: run_trace,
+            max_len: 8192,
+        },
+        Target {
+            name: "wal_fix",
+            seeds: wal_seeds,
+            dict: WAL_DICT,
+            post: Some(sealed::reseal_frames),
+            run: run_wal,
+            max_len: 4096,
+        },
+        Target {
+            name: "partial_fix",
+            seeds: partial_seeds,
+            dict: PARTIAL_DICT,
+            post: Some(sealed::reseal),
+            run: run_partial,
             max_len: 8192,
         },
         Target {
@@ -210,6 +230,51 @@ fn trace_seeds() -> Vec<Vec<u8>> {
     seeds
 }
 
+fn wal_seeds() -> Vec<Vec<u8>> {
+    let mut submitted = WalRecord::bare(rec::SUBMITTED, 1);
+    submitted.seq = 1;
+    submitted.spec = ScenarioSpec::golden(3).to_kv();
+    submitted.peer = "127.0.0.1:7000".into();
+    let mut transferring = WalRecord::bare(rec::TRANSFERRING, 1);
+    (transferring.seq, transferring.pages_landed) = (2, 128);
+    let mut failed = WalRecord::bare(rec::FAILED, 1);
+    (failed.seq, failed.detail) = (3, "peer i/o: reset".into());
+    // The empty journal is a daemon that never accepted a job.
+    vec![
+        journal::encode_records(&[submitted, transferring, failed]),
+        Vec::new(),
+    ]
+}
+
+fn partial_seeds() -> Vec<Vec<u8>> {
+    // A 1 MiB cold guest keeps the image (256 pages) under `max_len`.
+    let spec = ScenarioSpec {
+        ram_mib: 1,
+        warm: false,
+        ..ScenarioSpec::golden(3)
+    };
+    let initial = scenario::initial_memory(&spec).expect("1 MiB spec is valid");
+    let fresh = SessionState::fresh(&spec, &initial);
+    let mut mid = fresh.clone();
+    for msg in [
+        WireMsg::full_filler(0, PageDigest::from_content_id(5)),
+        WireMsg::full_filler(1, PageDigest::from_content_id(6)),
+        WireMsg::DedupRef { idx: 2, source: 0 },
+        WireMsg::Zero { idx: 3 },
+        WireMsg::RoundEnd { round: 1 },
+    ] {
+        mid.apply(&msg, None).expect("seed stream applies");
+    }
+    let mut done = mid.clone();
+    done.apply(&WireMsg::StopEnd, None)
+        .expect("stop after one round");
+    vec![
+        fresh.encode(1, 2),
+        mid.encode(7, 0xfeed),
+        done.encode(7, 0xfeed),
+    ]
+}
+
 fn text_seeds(strs: &[&str]) -> Vec<Vec<u8>> {
     strs.iter().map(|s| s.as_bytes().to_vec()).collect()
 }
@@ -234,6 +299,24 @@ const BINARY_DICT: &[&[u8]] = &[
     &[0, 0, 0, 0, 0, 0, 0, 0],
     &[0xff; 8],
     &[0, 0, 0, 0, 0, 0, 16, 0],
+];
+
+const WAL_DICT: &[&[u8]] = &[
+    b"\"kind\":\"",
+    b"18446744073709551616",
+    b"\\u0000",
+    b"\"",
+    b"}",
+    &[0xff; 4],
+    &[0, 0x10, 0, 1],
+];
+
+const PARTIAL_DICT: &[&[u8]] = &[
+    b"VECYPAR1",
+    &[0; 8],
+    &[0xff; 8],
+    &[0, 0, 0, 0, 0, 0, 1, 0],
+    &[2],
 ];
 
 const CHAOS_DICT: &[&[u8]] = &[
@@ -354,6 +437,45 @@ fn run_trace(input: &[u8]) -> &'static str {
     }
 }
 
+fn run_wal(input: &[u8]) -> &'static str {
+    let (records, valid) = journal::decode_records(input);
+    let rest = &input[valid as usize..];
+    if rest.is_empty() {
+        return if records.is_empty() { "ok_empty" } else { "ok" };
+    }
+    // Replay stopped early: classify why from the first rejected frame.
+    match sealed::decode_frame(rest, journal::MAX_RECORD) {
+        Err(SealError::Short(_)) => "stop_torn",
+        Err(SealError::OverCap) => "stop_over_cap",
+        Err(SealError::Mismatch) => "stop_trailer",
+        Ok((payload, _)) if std::str::from_utf8(payload).is_err() => "stop_utf8",
+        Ok(_) => "stop_json",
+    }
+}
+
+fn run_partial(input: &[u8]) -> &'static str {
+    match SessionState::decode(input) {
+        Ok((_, _, st)) if st.finished() => "ok_finished",
+        Ok(_) => "ok",
+        Err(DaemonError::Corrupt(detail)) => corrupt_class(
+            &detail,
+            &[
+                ("too short", "err_short"),
+                ("trailer checksum", "err_trailer"),
+                ("magic", "err_magic"),
+                ("finished flag", "err_finished_flag"),
+                ("page count overflows", "err_overflow"),
+                ("memory section", "err_mem_len"),
+                ("landed flag", "err_landed_flag"),
+                ("anchor count overflows", "err_anchor_overflow"),
+                ("anchor section", "err_anchor_len"),
+                ("anchor index", "err_anchor_idx"),
+            ],
+        ),
+        Err(_) => "err_other",
+    }
+}
+
 fn run_chaos(input: &[u8]) -> &'static str {
     let s = String::from_utf8_lossy(input);
     match ChaosConfig::parse(&s) {
@@ -467,6 +589,11 @@ mod tests {
         for seed in trace_seeds() {
             assert_eq!(run_trace(&seed), "ok");
         }
+        let wal = wal_seeds();
+        assert_eq!(run_wal(&wal[0]), "ok");
+        assert_eq!(run_wal(&wal[1]), "ok_empty");
+        let partials: Vec<_> = partial_seeds().iter().map(|s| run_partial(s)).collect();
+        assert_eq!(partials, ["ok", "ok", "ok_finished"]);
         for seed in CHAOS_SEEDS {
             assert_eq!(run_chaos(seed.as_bytes()), "ok");
         }
@@ -488,6 +615,12 @@ mod tests {
     fn classifier_covers_handcrafted_rejects() {
         assert_eq!(run_checkpoint(b""), "err_short");
         assert_eq!(run_trace(b""), "err_short");
+        assert_eq!(run_partial(b""), "err_short");
+        assert_eq!(run_wal(&u32::MAX.to_be_bytes()), "stop_over_cap");
+        assert_eq!(run_wal(&[0, 0, 0, 9, b'{']), "stop_torn");
+        let mut junk = Vec::new();
+        sealed::encode_frame(b"{not json", &mut junk);
+        assert_eq!(run_wal(&junk), "stop_json");
         assert_eq!(run_chaos(b"crash=0.1,crash=0.2"), "err_dup");
         assert_eq!(run_chaos(b"meteor=1"), "err_unknown");
         assert_eq!(run_evict(b"mru"), "err_unknown");

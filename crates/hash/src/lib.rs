@@ -15,6 +15,11 @@
 //! data incrementally; [`page_digest`] is the one-shot convenience used by
 //! the migration path.
 //!
+//! [`sealed`] is the one integrity codec of every on-disk format
+//! (checkpoints, traces, the daemon's journal and partial-state files):
+//! an FNV-1a 64 trailer over a body, alone or inside a length-prefixed
+//! frame.
+//!
 //! # Examples
 //!
 //! ```
@@ -32,6 +37,7 @@
 mod fnv;
 mod md5;
 pub mod multilane;
+pub mod sealed;
 mod sha1;
 mod sha256;
 

@@ -7,10 +7,11 @@
 //! sharing calibrated traces).
 //!
 //! Format: `VECYTRC1` magic, nominal RAM, fingerprint count, then per
-//! fingerprint a timestamp, page count and raw digests; an FNV-1a 64
-//! trailer detects truncation and corruption.
+//! fingerprint a timestamp, page count and raw digests, all sealed by
+//! the shared [`sealed`] FNV-1a 64 trailer, which detects truncation and
+//! corruption.
 
-use vecycle_hash::{Fnv1a64, Hasher};
+use vecycle_hash::sealed;
 use vecycle_types::{Bytes, Error, PageDigest, SimDuration, SimTime};
 
 use crate::{Fingerprint, Trace};
@@ -35,11 +36,8 @@ impl Trace {
                 buf.extend_from_slice(d.as_bytes());
             }
         }
-        let mut fnv = Fnv1a64::new();
-        fnv.update(&buf);
-        let trailer = fnv.finalize();
+        sealed::seal(&mut buf);
         w.write_all(&buf)?;
-        w.write_all(&trailer)?;
         Ok(())
     }
 
@@ -52,19 +50,10 @@ impl Trace {
     pub fn read_from<R: std::io::Read>(mut r: R) -> vecycle_types::Result<Trace> {
         let mut raw = Vec::new();
         r.read_to_end(&mut raw)?;
-        if raw.len() < MAGIC.len() + 8 + 8 + 8 {
-            return Err(Error::Corrupt {
-                detail: format!("trace file too short: {} bytes", raw.len()),
-            });
-        }
-        let (body, trailer) = raw.split_at(raw.len() - 8);
-        let mut fnv = Fnv1a64::new();
-        fnv.update(body);
-        if fnv.finalize() != <[u8; 8]>::try_from(trailer).expect("8 bytes") {
-            return Err(Error::Corrupt {
-                detail: "trace trailer checksum mismatch".into(),
-            });
-        }
+        let min_len = MAGIC.len() + 8 + 8 + sealed::TRAILER_LEN;
+        let body = sealed::unseal(&raw, min_len).map_err(|e| Error::Corrupt {
+            detail: format!("trace {e}"),
+        })?;
 
         let mut pos = 0usize;
         let take = |pos: &mut usize, n: usize| -> vecycle_types::Result<&[u8]> {
@@ -190,16 +179,6 @@ mod tests {
         assert!(Trace::read_from(&[][..]).is_err());
     }
 
-    /// Recomputes the FNV trailer so forged counts reach the record
-    /// parser instead of dying at the integrity check.
-    fn refix_trailer(buf: &mut [u8]) {
-        let body_len = buf.len() - 8;
-        let mut fnv = Fnv1a64::new();
-        fnv.update(&buf[..body_len]);
-        let t = fnv.finalize();
-        buf[body_len..].copy_from_slice(&t);
-    }
-
     #[test]
     fn forged_fingerprint_count_is_rejected_before_allocating() {
         let trace = small_trace();
@@ -209,7 +188,7 @@ mod tests {
         for forged in [u64::MAX, 1 << 40, (buf.len() as u64 / 16) + 1] {
             let mut f = buf.clone();
             f[16..24].copy_from_slice(&forged.to_le_bytes());
-            refix_trailer(&mut f);
+            sealed::reseal(&mut f);
             let err = Trace::read_from(&f[..]).unwrap_err();
             assert!(
                 matches!(err, Error::Corrupt { .. }),
@@ -229,7 +208,7 @@ mod tests {
         for forged in [u64::MAX, u64::MAX / 16 + 1, 1 << 61] {
             let mut f = buf.clone();
             f[32..40].copy_from_slice(&forged.to_le_bytes());
-            refix_trailer(&mut f);
+            sealed::reseal(&mut f);
             let err = Trace::read_from(&f[..]).unwrap_err();
             assert!(
                 matches!(err, Error::Corrupt { .. }),
