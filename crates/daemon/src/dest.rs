@@ -9,10 +9,14 @@
 //! evidence about the *protocol*, not a shared code path.
 //!
 //! Crash durability: when the daemon runs with a journal directory,
-//! every [`crate::source::STREAM_CHUNK`] applied messages (and at round
-//! boundaries) the state is written to a `partial-*.bin` file — what
-//! survives this process dying. When the *peer* dies mid-stream, the
-//! final state is also kept in an in-memory partials map keyed by
+//! each session writes its starting state once as a base snapshot and
+//! then appends the steps it applies to a delta log
+//! ([`PartialLog`]), one frame every
+//! [`crate::source::STREAM_CHUNK`] messages and at round boundaries —
+//! what survives this process dying, at a cost per boundary that
+//! tracks the messages since the last one, not the guest size. When
+//! the *peer* dies mid-stream, the log is flushed and the final state
+//! is also kept in an in-memory partials map keyed by
 //! `(job, spec fingerprint)`; only that exit fills the map, since only
 //! a later session reads it. A later session for the same job
 //! announces the landed prefix in the RESUME_STATE handshake; if the
@@ -33,7 +37,7 @@ use crate::proto::{
 };
 use crate::scenario;
 use crate::server::DaemonState;
-use crate::session_state::{self, spec_fingerprint, SessionState};
+use crate::session_state::{self, spec_fingerprint, PartialLog, SessionState};
 use crate::DaemonError;
 
 /// Runs one inbound migration session whose HELLO frame has already
@@ -177,21 +181,22 @@ fn session(
         SessionState::fresh(&spec, &initial)
     };
 
+    let mut log = begin_log(state, job_id, fingerprint, &session_state);
     let result = receive_stream(
         state,
         s,
         job_id,
-        fingerprint,
         index.as_ref(),
         &mut session_state,
+        &mut log,
     );
     match result {
         Ok(()) => {}
         Err(e @ DaemonError::Io(_)) => {
             // Peer death mid-stream: the landed prefix is the whole
-            // point — persist it one last time and keep it in memory
-            // for the resume attempt.
-            save_partial_file(state, job_id, fingerprint, &session_state);
+            // point — persist the steps since the last boundary and
+            // keep the state in memory for the resume attempt.
+            persist(state, job_id, &mut log, PartialLog::flush);
             state.partial_put(job_id, fingerprint, session_state);
             return Err(e);
         }
@@ -230,46 +235,74 @@ fn session(
 }
 
 /// Applies the data-plane stream through the shared state machine
-/// until the stop-and-copy delimiter, saving the partial file at chunk
-/// and round boundaries.
+/// until the stop-and-copy delimiter, logging every step when the
+/// daemon is journal-backed.
 fn receive_stream(
     state: &DaemonState,
     s: &mut CountingStream<Stream>,
     job_id: u64,
-    fingerprint: u64,
     index: Option<&ChecksumIndex>,
     session_state: &mut SessionState,
+    log: &mut Option<PartialLog>,
 ) -> Result<(), DaemonError> {
-    let mut since_checkpoint = 0usize;
     while !session_state.finished() {
         let msg = WireMsg::read_from(s).map_err(DaemonError::from)?;
         state.kill.tick(KillRole::Dest, KillPoint::MidBulk);
-        session_state.apply(&msg, index)?;
-        since_checkpoint += 1;
-        // Checkpoint on the same cadence the source buffers writes, so
-        // a crash leaves a prefix the source's simulation can replay
-        // exactly (any prefix verifies, but whole chunks keep the
-        // persisted state close to what actually landed).
-        if since_checkpoint >= crate::source::STREAM_CHUNK
-            || matches!(msg, WireMsg::RoundEnd { .. } | WireMsg::StopEnd)
-        {
-            save_partial_file(state, job_id, fingerprint, session_state);
-            since_checkpoint = 0;
-        }
+        let step = session_state.apply_step(&msg, index)?;
+        persist(state, job_id, log, |log| log.record(step));
     }
     Ok(())
 }
 
-/// Writes a partial state to its file when the daemon is journal-backed.
-fn save_partial_file(state: &DaemonState, job_id: u64, fingerprint: u64, st: &SessionState) {
-    if let Some(dir) = state.config.journal_dir.as_deref() {
-        match session_state::save_partial(dir, job_id, fingerprint, st) {
-            Ok(()) => state
-                .metrics
-                .inc("daemon_resume_partials_total", &[("op", "save")], 1),
-            Err(e) => state.journal_push(format!("partial save failed for job {job_id}: {e}")),
+/// Opens the session's partial-state files when the daemon is
+/// journal-backed: `base` becomes the snapshot the log builds on.
+fn begin_log(
+    state: &DaemonState,
+    job_id: u64,
+    fingerprint: u64,
+    base: &SessionState,
+) -> Option<PartialLog> {
+    let dir = state.config.journal_dir.as_deref()?;
+    match PartialLog::begin(dir, job_id, fingerprint, base) {
+        Ok(log) => {
+            count_written(state, log.written());
+            Some(log)
+        }
+        Err(e) => {
+            state.journal_push(format!("partial snapshot failed for job {job_id}: {e}"));
+            None
         }
     }
+}
+
+/// Runs one log operation (record a step, or flush), counting the
+/// frames and bytes it appends. A failed write abandons the log for
+/// the rest of the session: what already landed still loads.
+fn persist(
+    state: &DaemonState,
+    job_id: u64,
+    log: &mut Option<PartialLog>,
+    op: impl FnOnce(&mut PartialLog) -> std::io::Result<bool>,
+) {
+    let Some(open) = log.as_mut() else { return };
+    let before = open.written();
+    match op(open) {
+        Ok(false) => {}
+        Ok(true) => {
+            state
+                .metrics
+                .inc("daemon_resume_partials_total", &[("op", "save")], 1);
+            count_written(state, open.written() - before);
+        }
+        Err(e) => {
+            state.journal_push(format!("partial log append failed for job {job_id}: {e}"));
+            *log = None;
+        }
+    }
+}
+
+fn count_written(state: &DaemonState, bytes: u64) {
+    state.metrics.inc("daemon_partial_bytes_total", &[], bytes);
 }
 
 /// Removes every trace of a partial state (job finished, or the state

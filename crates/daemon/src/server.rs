@@ -380,7 +380,7 @@ fn accept_loop(
             Ok(stream) => {
                 let conn_state = Arc::clone(state);
                 let handle = std::thread::spawn(move || handle_connection(&conn_state, stream));
-                sync::lock(workers).push(handle);
+                push_reaping(workers, handle);
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                 std::thread::sleep(Duration::from_millis(5));
@@ -527,8 +527,25 @@ fn scheduler_loop(state: &Arc<DaemonState>, workers: &Arc<Mutex<Vec<JoinHandle<(
             let _permit = permit;
             run_admitted_job(&job_state, id, &spec, &peer, epoch);
         });
-        sync::lock(workers).push(handle);
+        push_reaping(workers, handle);
     }
+}
+
+/// Adds `handle` to `workers` after joining every thread there that has
+/// finished, so the vector (and the stacks its exited threads keep
+/// resident) tracks the live connections and jobs, not the daemon's
+/// history.
+fn push_reaping(workers: &Mutex<Vec<JoinHandle<()>>>, handle: JoinHandle<()>) {
+    let mut workers = sync::lock(workers);
+    let mut i = 0;
+    while i < workers.len() {
+        if workers[i].is_finished() {
+            let _ = workers.swap_remove(i).join();
+        } else {
+            i += 1;
+        }
+    }
+    workers.push(handle);
 }
 
 /// Runs one admitted job end to end and records the outcome.
@@ -578,6 +595,38 @@ fn run_admitted_job(
                 .metrics
                 .inc("daemon_jobs_total", &[("state", "failed")], 1);
             state.journal_push(format!("job {id} failed: {e}"));
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn finished_threads_are_joined_as_new_ones_are_pushed() {
+        let workers = Mutex::new(Vec::new());
+        // One long-lived thread, held until the end.
+        let (release, hold) = std::sync::mpsc::channel::<()>();
+        push_reaping(
+            &workers,
+            std::thread::spawn(move || {
+                let _ = hold.recv();
+            }),
+        );
+        for _ in 0..200 {
+            let done = std::thread::spawn(|| {});
+            while !done.is_finished() {
+                std::thread::yield_now();
+            }
+            push_reaping(&workers, done);
+            // The live thread plus the one just pushed: every earlier
+            // short-lived thread has been joined.
+            assert_eq!(sync::lock(&workers).len(), 2);
+        }
+        release.send(()).unwrap();
+        for h in std::mem::take(&mut *sync::lock(&workers)) {
+            h.join().unwrap();
         }
     }
 }

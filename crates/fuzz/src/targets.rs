@@ -10,10 +10,13 @@
 //! deterministic — a poor man's coverage signal that needs no
 //! instrumentation.
 
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
+
 use vecycle_checkpoint::{Checkpoint, CheckpointData, EvictionPolicy};
 use vecycle_cli::args::{parse_duration, parse_faults, parse_link, parse_size};
 use vecycle_daemon::journal::{self, rec, WalRecord};
-use vecycle_daemon::session_state::SessionState;
+use vecycle_daemon::session_state::{self, LogStop, PartialLog, SessionState};
 use vecycle_daemon::{scenario, DaemonError};
 use vecycle_hash::sealed::{self, SealError};
 use vecycle_mem::ByteMemory;
@@ -92,6 +95,14 @@ pub fn all_targets() -> Vec<Target> {
             post: Some(sealed::reseal),
             run: run_partial,
             max_len: 8192,
+        },
+        Target {
+            name: "partial_log",
+            seeds: partial_log_seeds,
+            dict: PARTIAL_LOG_DICT,
+            post: Some(sealed::reseal_frames),
+            run: run_partial_log,
+            max_len: 4096,
         },
         Target {
             name: "chaos_cfg",
@@ -275,6 +286,63 @@ fn partial_seeds() -> Vec<Vec<u8>> {
     ]
 }
 
+/// The job and spec fingerprint every `partial_log` input is replayed
+/// under; seed logs are bound to them.
+const LOG_JOB: u64 = 7;
+const LOG_FP: u64 = 0xfeed;
+
+/// The base snapshot every `partial_log` input is replayed onto: a cold
+/// 1 MiB guest (256 pages) before any message.
+fn log_base() -> &'static SessionState {
+    static BASE: OnceLock<SessionState> = OnceLock::new();
+    BASE.get_or_init(|| {
+        let spec = ScenarioSpec {
+            ram_mib: 1,
+            warm: false,
+            ..ScenarioSpec::golden(3)
+        };
+        let initial = scenario::initial_memory(&spec).expect("1 MiB spec is valid");
+        SessionState::fresh(&spec, &initial)
+    })
+}
+
+fn partial_log_seeds() -> Vec<Vec<u8>> {
+    // The appender writes real files, so the seeds are read back from a
+    // scratch directory: a header-only log, and one that crosses a
+    // 64-step boundary, two round delimiters and the stop.
+    static CALLS: AtomicU64 = AtomicU64::new(0);
+    let dir = std::env::temp_dir().join(format!(
+        "vecycle-fuzz-log-{}-{}",
+        std::process::id(),
+        CALLS.fetch_add(1, Ordering::Relaxed)
+    ));
+    let mut state = log_base().clone();
+    let mut log = PartialLog::begin(&dir, LOG_JOB, LOG_FP, &state).expect("scratch log");
+    let path = session_state::log_path(&dir, LOG_JOB, LOG_FP);
+    let header = std::fs::read(&path).expect("log readable");
+    let mut msgs: Vec<WireMsg> = (0..70u64)
+        .map(|i| WireMsg::full_filler(i, PageDigest::from_content_id(i % 9)))
+        .collect();
+    msgs.extend([
+        WireMsg::RoundEnd { round: 1 },
+        WireMsg::DedupRef {
+            idx: 200,
+            source: 3,
+        },
+        WireMsg::Zero { idx: 255 },
+        WireMsg::RoundEnd { round: 2 },
+        WireMsg::full_filler(4, PageDigest::from_content_id(1)),
+        WireMsg::StopEnd,
+    ]);
+    for msg in &msgs {
+        let step = state.apply_step(msg, None).expect("seed stream applies");
+        log.record(step).expect("scratch log appends");
+    }
+    let full = std::fs::read(&path).expect("log readable");
+    let _ = std::fs::remove_dir_all(&dir);
+    vec![header, full, Vec::new()]
+}
+
 fn text_seeds(strs: &[&str]) -> Vec<Vec<u8>> {
     strs.iter().map(|s| s.as_bytes().to_vec()).collect()
 }
@@ -316,6 +384,17 @@ const PARTIAL_DICT: &[&[u8]] = &[
     &[0; 8],
     &[0xff; 8],
     &[0, 0, 0, 0, 0, 0, 1, 0],
+    &[2],
+];
+
+const PARTIAL_LOG_DICT: &[&[u8]] = &[
+    b"VECYLOG1",
+    &[0; 8],
+    &[0xff; 8],
+    &[0, 0, 0, 0, 0, 0, 1, 0],
+    &[0, 0, 6, 0x48],
+    &[0],
+    &[1],
     &[2],
 ];
 
@@ -473,6 +552,30 @@ fn run_partial(input: &[u8]) -> &'static str {
             ],
         ),
         Err(_) => "err_other",
+    }
+}
+
+fn run_partial_log(input: &[u8]) -> &'static str {
+    let mut state = log_base().clone();
+    let replay = session_state::replay_log(&mut state, LOG_JOB, LOG_FP, input);
+    // Replay always ends on a whole-frame prefix: the bytes it accepted
+    // replay cleanly on their own, to the same state.
+    let mut again = log_base().clone();
+    let prefix = session_state::replay_log(&mut again, LOG_JOB, LOG_FP, &input[..replay.valid]);
+    assert!(prefix.stop.is_none() && prefix.frames == replay.frames && again == state);
+    match replay.stop {
+        None if replay.frames == 0 => "ok_no_steps",
+        None if state.finished() => "ok_finished",
+        None => "ok",
+        Some(LogStop::Frame(SealError::Short(_))) => "stop_torn",
+        Some(LogStop::Frame(SealError::OverCap)) => "stop_over_cap",
+        Some(LogStop::Frame(SealError::Mismatch)) => "stop_trailer",
+        Some(LogStop::Header) => "stop_header",
+        Some(LogStop::Unbound) => "stop_unbound",
+        Some(LogStop::Sequence) => "stop_sequence",
+        Some(LogStop::Malformed) => "stop_malformed",
+        Some(LogStop::PageIndex) => "stop_page_idx",
+        Some(LogStop::Illegal) => "stop_illegal",
     }
 }
 

@@ -474,6 +474,155 @@ fn resume_skips_the_persisted_partial_prefix() {
     dst.shutdown();
 }
 
+/// Set in a child copy of this test binary: `<socket path>|<journal
+/// dir>` of the destination daemon it serves until its kill switch
+/// fires.
+const DEST_CHILD_ENV: &str = "VECYCLE_RECOVERY_DEST_CHILD";
+
+/// Kills the child process if the test ends before it died.
+struct ChildGuard(std::process::Child);
+
+impl Drop for ChildGuard {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+/// The landed prefix a destination killed on reading message
+/// `killed_at` (1-based) has persisted: the last boundary — every
+/// `STREAM_CHUNK` (64) messages since the previous one, or a delimiter
+/// — at or before the `killed_at - 1` messages it applied.
+fn last_flushed_boundary(msgs: &[WireMsg], killed_at: usize) -> usize {
+    let (mut last, mut since) = (0, 0);
+    for (i, msg) in msgs[..killed_at - 1].iter().enumerate() {
+        since += 1;
+        if since == 64 || matches!(msg, WireMsg::RoundEnd { .. } | WireMsg::StopEnd) {
+            (last, since) = (i + 1, 0);
+        }
+    }
+    last
+}
+
+/// A destination process killed mid-bulk (SIGKILL-style abort, so
+/// nothing is flushed on the way down) restarts over its snapshot and
+/// delta log, and the source's resumed session skips at least every
+/// message up to the last boundary the log recorded.
+#[test]
+fn dest_killed_mid_bulk_resumes_from_the_last_flushed_boundary() {
+    if let Ok(child) = std::env::var(DEST_CHILD_ENV) {
+        // Child role: serve as the doomed destination. The kill switch
+        // armed through VECYCLE_KILL_AT ends this process.
+        let (sock, dir) = child.split_once('|').expect("socket|dir");
+        let _dst = spawn_with_journal(Endpoint::Unix(sock.into()), std::path::Path::new(dir));
+        loop {
+            std::thread::sleep(Duration::from_secs(1));
+        }
+    }
+    let _wd = Watchdog::arm(
+        "dest_killed_mid_bulk_resumes_from_the_last_flushed_boundary",
+        JOB_TIMEOUT,
+    );
+    let mut spec = ScenarioSpec::golden(0x515);
+    spec.strategy = "full".to_string();
+    spec.warm = false;
+    let msgs = wire_sequence(&spec);
+    // Mid-round, past several 64-message boundaries.
+    let killed_at = 300;
+    assert!(msgs.len() > killed_at);
+
+    let dst_dir = journal_dir("kill-dst");
+    let dst_ep = unix_endpoint("kd-dst");
+    let Endpoint::Unix(sock) = &dst_ep else {
+        unreachable!("unix endpoint")
+    };
+    let mut child = ChildGuard(
+        std::process::Command::new(std::env::current_exe().expect("test binary"))
+            .args([
+                "--exact",
+                "dest_killed_mid_bulk_resumes_from_the_last_flushed_boundary",
+                "--nocapture",
+            ])
+            .env(
+                DEST_CHILD_ENV,
+                format!("{}|{}", sock.display(), dst_dir.display()),
+            )
+            .env("VECYCLE_KILL_AT", format!("dest:mid-bulk:{killed_at}"))
+            .stdout(std::process::Stdio::null())
+            .stderr(std::process::Stdio::null())
+            .spawn()
+            .expect("spawn destination child"),
+    );
+    while !client::ping(&dst_ep) {
+        assert!(
+            child.0.try_wait().expect("child status").is_none(),
+            "destination child exited before serving"
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    }
+
+    let src = Daemon::spawn(
+        DaemonConfig::new(unix_endpoint("kd-src"))
+            .with_retries(100)
+            .with_backoff(Duration::from_millis(50)),
+    )
+    .expect("source binds");
+    let id = src.submit(spec.clone(), dst_ep.clone()).expect("submit");
+    let status = child.0.wait().expect("destination child dies");
+    assert!(!status.success(), "the kill switch aborts the destination");
+
+    // Restart the destination over the same journal directory.
+    let dst = spawn_with_journal(dst_ep, &dst_dir);
+    let rec1 = src.wait_job(id, JOB_TIMEOUT).expect("resumed job finishes");
+    assert_done(&rec1);
+    let m = rec1.measured.as_ref().expect("measured");
+    assert!(m.resume_epoch >= 1);
+    let boundary = last_flushed_boundary(&msgs, killed_at);
+    assert!(boundary > 64, "the kill lands past the first boundary");
+    let skipped = m.skipped_msgs as usize;
+    assert!(
+        skipped >= boundary && skipped < killed_at,
+        "skipped {skipped} messages; the log held {boundary}, the kill came at {killed_at}"
+    );
+    assert_eq!(
+        rec1.report.as_ref(),
+        Some(&scenario::reference_run(&spec).expect("reference").report)
+    );
+    src.shutdown();
+    dst.shutdown();
+}
+
+/// The cost the delta log exists for: a 64 MiB recycled leg between
+/// journal-backed daemons writes one base snapshot plus about 25 bytes
+/// per applied message, not a whole-image rewrite per boundary.
+#[test]
+fn a_64_mib_ping_pong_leg_writes_at_most_2_mib_of_partial_state() {
+    let _wd = Watchdog::arm(
+        "a_64_mib_ping_pong_leg_writes_at_most_2_mib_of_partial_state",
+        2 * JOB_TIMEOUT,
+    );
+    let mut spec = ScenarioSpec::golden(0x64);
+    spec.ram_mib = 64;
+    let dst_dir = journal_dir("cost-dst");
+    let dst = spawn_with_journal(unix_endpoint("cost-dst"), &dst_dir);
+    let src = spawn_with_journal(unix_endpoint("cost-src"), &journal_dir("cost-src"));
+    let id = src
+        .submit(spec.clone(), dst.endpoint().clone())
+        .expect("submit");
+    let rec1 = src.wait_job(id, 2 * JOB_TIMEOUT).expect("leg finishes");
+    assert_done(&rec1);
+    let metrics = dst.metrics();
+    let frames = metrics.counter("daemon_resume_partials_total", &[("op", "save")]);
+    let written = metrics.counter("daemon_partial_bytes_total", &[]);
+    assert!(frames > spec.pages() / 64, "{frames} log frames");
+    assert!(
+        written > 0 && written <= 2 << 20,
+        "{written} bytes of partial state for one leg"
+    );
+    src.shutdown();
+    dst.shutdown();
+}
+
 /// Acceptance pin: a journal-backed daemon pair with no crash produces
 /// the exact same report and byte accounting as the in-memory daemons —
 /// durability must cost nothing on the clean path.

@@ -2,7 +2,8 @@
 //!
 //! Each format is encoded from fixed inputs and its length and FNV-1a
 //! 64 digest are compared against constants recorded from the encoders
-//! as they stood before the formats shared one codec. Any change to a
+//! as they stood before the formats shared one codec (the partial-state
+//! delta log, which came later, from its first encoder). Any change to a
 //! single on-disk byte — field order, endianness, trailer coverage,
 //! frame prefix — fails here, so files written by an older build keep
 //! loading.
@@ -10,7 +11,9 @@
 use vecycle_checkpoint::{Checkpoint, CheckpointData, DiskStore};
 use vecycle_daemon::journal::{rec, Journal, WalRecord};
 use vecycle_daemon::scenario;
-use vecycle_daemon::session_state::{partial_path, save_partial, spec_fingerprint, SessionState};
+use vecycle_daemon::session_state::{
+    load_partial, log_path, partial_path, save_partial, spec_fingerprint, PartialLog, SessionState,
+};
 use vecycle_hash::{Fnv1a64, Hasher};
 use vecycle_mem::ByteMemory;
 use vecycle_net::WireMsg;
@@ -157,5 +160,42 @@ fn partial_state_bytes_and_state_hash_are_pinned() {
     let dir = scratch_dir("partial");
     save_partial(&dir, 9, fp, &st).unwrap();
     assert_eq!(std::fs::read(partial_path(&dir, 9, fp)).unwrap(), bytes);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn partial_log_bytes_are_pinned() {
+    let spec = ScenarioSpec::golden(0x5e55);
+    let fp = spec_fingerprint(&spec);
+    let initial = scenario::initial_memory(&spec).unwrap();
+    let base = SessionState::fresh(&spec, &initial);
+    let dir = scratch_dir("log");
+    let mut log = PartialLog::begin(&dir, 9, fp, &base).unwrap();
+    // 70 page writes cross one 64-step boundary, the round delimiter
+    // closes the second frame, and the stop closes the third.
+    let mut msgs: Vec<WireMsg> = (0..70u64)
+        .map(|i| WireMsg::full_filler(i, PageDigest::from_content_id(i)))
+        .collect();
+    msgs.extend([
+        WireMsg::DedupRef { idx: 70, source: 3 },
+        WireMsg::Zero { idx: 71 },
+        WireMsg::RoundEnd { round: 1 },
+        WireMsg::full_filler(5, PageDigest::from_content_id(99)),
+        WireMsg::StopEnd,
+    ]);
+    let mut st = base.clone();
+    for msg in &msgs {
+        log.record(st.apply_step(msg, None).unwrap()).unwrap();
+    }
+    let bytes = std::fs::read(log_path(&dir, 9, fp)).unwrap();
+    // Header 52 B, then frames of 64, 9 and 2 steps: 1620 + 221 + 46 B.
+    assert_eq!(pin(&bytes), (1939, 0x2fbf_1fb6_b728_e5c6));
+    // The snapshot beside the log is the base state's partial-file
+    // encoding, and the two load back to the live state.
+    assert_eq!(
+        std::fs::read(partial_path(&dir, 9, fp)).unwrap(),
+        base.encode(9, fp)
+    );
+    assert_eq!(load_partial(&dir, 9, fp).unwrap(), st);
     std::fs::remove_dir_all(&dir).unwrap();
 }
